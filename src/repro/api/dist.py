@@ -160,6 +160,8 @@ class CoordinatorApi:
             def _read_json(self) -> Dict:
                 try:
                     length = int(self.headers.get("Content-Length") or "")
+                    if length < 0:   # rfile.read(-1) blocks until EOF
+                        raise ValueError(length)
                 except ValueError:
                     raise _BadRequest(
                         400, "missing-body",

@@ -156,6 +156,8 @@ class ApiServer:
                 length_header = self.headers.get("Content-Length")
                 try:
                     length = int(length_header or "")
+                    if length < 0:   # rfile.read(-1) blocks until EOF
+                        raise ValueError(length)
                 except ValueError:
                     raise IngestError(
                         400, "missing-body",

@@ -383,7 +383,7 @@ class VerificationService:
         return payload
 
     def summary_line(self) -> str:
-        """One greppable shutdown line (mirrors the campaign CLI's)."""
+        """One greppable shutdown line."""
         with self._lock:
             return self.cache.summary_line(self.cache_path)
 

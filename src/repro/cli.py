@@ -224,14 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_camp.add_argument("--state", metavar="DIR",
                         help="checkpoint directory; rerunning with the "
                              "same spec resumes the campaign")
-    p_camp.add_argument("--verdict-cache", metavar="PATH",
-                        help="persistent verdict store: structurally "
-                             "identical programs are verified once, "
-                             "across runs too (reports are unaffected)")
-    p_camp.add_argument("--verdict-cache-size", type=int, default=65536,
-                        metavar="N",
-                        help="max cached verdicts before LRU eviction "
-                             "(default 65536)")
     p_camp.add_argument("--report", metavar="PATH",
                         help="write the PrecisionReport as JSON")
     p_camp.add_argument("--markdown", metavar="PATH",
@@ -353,8 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "omit ctx_size (default 64)")
     p_serve.add_argument("--verdict-cache", metavar="PATH",
                          help="persistent verdict store, loaded at "
-                              "startup and saved on shutdown (same "
-                              "format as repro campaign's)")
+                              "startup and saved on shutdown")
     p_serve.add_argument("--verdict-cache-size", type=int, default=65536,
                          metavar="N",
                          help="max cached verdicts before LRU eviction "
@@ -790,23 +781,10 @@ def _cmd_campaign(args) -> int:
     except ValueError as exc:   # bad option values
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    cache = None
-    if args.verdict_cache:
-        from repro.bpf.canon import VerdictCache
-
-        try:
-            cache = VerdictCache.load(
-                args.verdict_cache, max_entries=args.verdict_cache_size
-            )
-        except ValueError as exc:   # stale format / wrong canon version
-            print(f"error: --verdict-cache {args.verdict_cache}: {exc}",
-                  file=sys.stderr)
-            return 2
     try:
         with _obs_session(args):
             result = run_precision_campaign(
-                spec, state_dir=args.state, verdict_cache=cache,
-                retry_policy=policy,
+                spec, state_dir=args.state, retry_policy=policy,
             )
     except CampaignStateError as exc:   # unusable --state directory
         print(f"error: {exc}", file=sys.stderr)
@@ -818,9 +796,6 @@ def _cmd_campaign(args) -> int:
         where = f" -> {args.state}/poison/" if args.state else ""
         print(f"quarantine: {len(result.quarantined)} poison "
               f"batch(es){where}")
-    if cache is not None:
-        cache.save(args.verdict_cache)
-        print(cache.summary_line(args.verdict_cache))
     print()
     print(render_precision_report(result.report, top=args.top))
     _print_violations(result.corpus)

@@ -24,12 +24,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import obs as _obs
 from repro.bpf import isa
-from repro.bpf.canon import VerdictCache
 from repro.bpf.interpreter import CTX_BASE, STACK_BASE, ExecutionError, Machine
 from repro.bpf.program import Program, ProgramError
 from repro.bpf.verifier import Verifier
 from repro.bpf.verifier.state import AbstractState, RegKind
-from repro.domains.product import ScalarValue
 
 __all__ = ["Violation", "OracleReport", "DifferentialOracle"]
 
@@ -107,7 +105,6 @@ class DifferentialOracle:
         on_transfer: Optional[Callable] = None,
         collect_ranges: bool = False,
         step_limit: int = 1_000_000,
-        verdict_cache: Optional[VerdictCache] = None,
     ) -> None:
         self.ctx_size = ctx_size
         self.inputs_per_program = inputs_per_program
@@ -120,12 +117,6 @@ class DifferentialOracle:
         #: interpreter step budget; campaigns lower it so mutated programs
         #: with (verifier-rejected) loops cannot stall a replay.
         self.step_limit = step_limit
-        #: structural verdict memo (see :mod:`repro.bpf.canon`).  The
-        #: oracle manages the cache itself rather than handing it to the
-        #: verifier: an oracle entry also carries the containment plans,
-        #: so a hit skips both the abstract walk *and* plan construction
-        #: while the concrete replays (seed-dependent) still run.
-        self.verdict_cache = verdict_cache
         #: one verifier reused across every checked program (its per-run
         #: ``states_at`` is reset per call) — together with the compiled
         #: abstract form cached on each :class:`Program`, re-checking a
@@ -168,47 +159,12 @@ class DifferentialOracle:
     def _check_program(
         self, program: Program, input_seed_base: int = 0
     ) -> OracleReport:
+        verifier = self._verifier
+        verifier.states_at = {}
         # Re-read per call: callers may (re)wire the telemetry hook on
         # the oracle after construction.
-        note = self.on_transfer
-        cache = self.verdict_cache
-        plans: Optional[List[Optional[List[Tuple]]]] = None
-        if cache is not None:
-            key = (program.canonical_hash(), self.ctx_size)
-            # require_plans: an accepted entry stored by a plain verifier
-            # has no containment plans — treat it as a miss and upgrade
-            # it below.
-            entry = cache.get(key, require_plans=True)
-            if entry is not None:
-                if note is not None:
-                    entry.replay(note)
-                result = entry.result()
-                plans = entry.plans
-            else:
-                verifier = self._verifier
-                verifier.states_at = {}
-                events: List[Tuple[int, str, ScalarValue]] = []
-                record = events.append
-
-                def recording_note(
-                    idx: int, label: str, scalar: ScalarValue
-                ) -> None:
-                    record((idx, label, scalar))
-                    if note is not None:
-                        note(idx, label, scalar)
-
-                verifier.on_transfer = recording_note
-                result = verifier.verify(program)
-                if result.ok:
-                    plans = self._build_plans(program, verifier.states_at)
-                cache.store(key, result, events, plans=plans)
-        else:
-            verifier = self._verifier
-            verifier.states_at = {}
-            verifier.on_transfer = note
-            result = verifier.verify(program)
-            if result.ok:
-                plans = self._build_plans(program, verifier.states_at)
+        verifier.on_transfer = self.on_transfer
+        result = verifier.verify(program)
 
         if not result.ok:
             report = OracleReport(
@@ -232,12 +188,11 @@ class DifferentialOracle:
 
         report = OracleReport(verdict="accepted")
         # Replay batching: everything that is per-program (not per-input)
-        # was computed exactly once above — the observation plan derived
-        # from the verifier's states (or fetched from the verdict cache),
-        # and below the ALU destination map for range tracking and the
-        # per-input seeds and their context buffers — and a single
-        # Machine is reset per input instead of reallocated.
-        assert plans is not None
+        # is computed exactly once here — the observation plan derived
+        # from the verifier's states, the ALU destination map for range
+        # tracking, and the per-input seeds and their context buffers —
+        # and a single Machine is reset per input instead of reallocated.
+        plans = self._build_plans(program, verifier.states_at)
         # Destination register per ALU instruction, shared by every
         # replay — the result written by instruction i is observable in
         # the registers at the *next* step.  -1 marks untracked slots.

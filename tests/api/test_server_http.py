@@ -6,8 +6,11 @@ service can grow additive fields without breaking clients (or these
 tests).
 """
 
+import http.client
 import json
+import socket
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -182,6 +185,24 @@ class TestRejections:
         status, body = get(server, "/nope")
         assert status == 404
         assert_error_shape(body)
+
+    def test_negative_content_length_is_400_not_a_hang(self, server):
+        # rfile.read(-1) would block the handler until the client hangs
+        # up; the reply must come back well inside the socket timeout.
+        url = urllib.parse.urlsplit(server.url)
+        with socket.create_connection((url.hostname, url.port),
+                                      timeout=5) as sock:
+            sock.sendall(
+                b"POST /verify HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Content-Length: -1\r\n\r\n"
+            )
+            response = http.client.HTTPResponse(sock)
+            response.begin()
+            body = json.loads(response.read())
+        assert response.status == 400
+        assert_error_shape(body)
+        assert body["error"]["code"] == "missing-body"
 
 
 class TestReadEndpoints:

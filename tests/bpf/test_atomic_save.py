@@ -5,6 +5,7 @@ import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,7 @@ from repro.bpf.canon import VerdictCache
 from repro.bpf.verifier import Verifier
 
 ACCEPTED = "mov r0, 7\nadd r0, 3\nexit"
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 @pytest.fixture(autouse=True)
@@ -62,7 +64,7 @@ class TestAtomicSave:
                 REPRO_FAULTS="seed=1,cache.save.slow=1:30",
                 PYTHONPATH="src",
             ),
-            cwd="/root/repo",
+            cwd=REPO_ROOT,
             stdout=subprocess.PIPE,
             text=True,
         )

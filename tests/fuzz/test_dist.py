@@ -8,10 +8,13 @@ Coordinator unit tests drive an injectable clock so expiry and
 staleness never sleep.
 """
 
+import http.client
 import json
 import shutil
+import socket
 import threading
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -599,6 +602,27 @@ class TestCoordinatorHttp:
                 coordinator.stats_payload()["counters"]
         finally:
             api.stop()
+
+    def test_negative_content_length_is_400_not_a_hang(self, tmp_path):
+        # rfile.read(-1) would block the handler until the client hangs
+        # up; the reply must come back well inside the socket timeout.
+        _, api = self._serve(tmp_path, spec=CampaignSpec(workers=1, **SMALL))
+        try:
+            url = urllib.parse.urlsplit(api.url)
+            with socket.create_connection((url.hostname, url.port),
+                                          timeout=5) as sock:
+                sock.sendall(
+                    b"POST /lease HTTP/1.1\r\nHost: test\r\n"
+                    b"Content-Type: application/json\r\n"
+                    b"Content-Length: -1\r\n\r\n"
+                )
+                response = http.client.HTTPResponse(sock)
+                response.begin()
+                body = json.loads(response.read())
+        finally:
+            api.stop()
+        assert response.status == 400
+        assert body["error"]["code"] == "missing-body"
 
     def test_worker_rides_out_dropped_posts(self, baseline, tmp_path):
         # POSTs "drop" until the bounded retry loop forces them through
