@@ -1,17 +1,27 @@
 #!/usr/bin/env python3
-"""CI smoke client for `repro serve` — stdlib urllib only.
+"""CI smoke client for `repro serve` — stdlib only.
 
 Drives a running verification service end to end: a good program over
 both wire and JSON encodings, malformed submissions, the verdict-lookup
 and stats endpoints.  Shape assertions are tolerant (required keys and
 types only) so additive response fields never break this script.
 
-Usage: service_smoke.py [BASE_URL]   (default http://127.0.0.1:8737)
+With ``--keepalive`` it instead sends 20 POSTs over one persistent
+HTTP/1.1 connection (``urllib`` opens a new one per request, so the
+checks above never see keep-alive) and fails if the median reply takes
+over 20 ms — a reply stalled on the client's delayed ACK takes ~40 ms.
+
+Usage: service_smoke.py [--keepalive] [BASE_URL]
+       (default http://127.0.0.1:8737)
 """
 
+import http.client
 import json
+import statistics
 import sys
+import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 # mov r0, 0 ; exit — the smallest accepted program, in kernel wire format.
@@ -61,8 +71,36 @@ def check_error_shape(label, body):
           and isinstance(error.get("message"), str), body)
 
 
+def keepalive(base, n=20, limit_ms=20.0):
+    url = urllib.parse.urlsplit(base)
+    conn = http.client.HTTPConnection(url.hostname, url.port, timeout=10)
+    times, replies = [], []
+    try:
+        for _ in range(n):
+            start = time.perf_counter()
+            conn.request("POST", "/verify", body=GOOD_WIRE,
+                         headers={"Content-Type": "application/octet-stream"})
+            response = conn.getresponse()
+            body = json.loads(response.read())
+            times.append(time.perf_counter() - start)
+            replies.append((response.status, body.get("verdict")))
+    finally:
+        conn.close()
+    check(f"{n} keep-alive POSTs accept",
+          all(reply == (200, "accept") for reply in replies), replies)
+    median_ms = statistics.median(times) * 1000.0
+    check(f"keep-alive median {median_ms:.2f} ms <= {limit_ms:g} ms",
+          median_ms <= limit_ms, [round(t * 1000.0, 2) for t in times])
+    print("service smoke: keep-alive checks passed")
+
+
 def main():
-    base = sys.argv[1] if len(sys.argv) > 1 else "http://127.0.0.1:8737"
+    args = sys.argv[1:]
+    base = next((a for a in args if not a.startswith("--")),
+                "http://127.0.0.1:8737")
+    if "--keepalive" in args:
+        keepalive(base)
+        return
 
     status, body = request(base, "/healthz")
     check("healthz", status == 200 and body.get("status") == "ok", body)

@@ -29,11 +29,12 @@ from __future__ import annotations
 
 import json
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 from typing import Dict, Optional
 
 from repro import obs as _obs
 from repro.fuzz.dist.coordinator import Coordinator
+from repro.obs.server import ThreadingHTTPServer
 
 from .models import error_payload, faults_echo
 
@@ -78,6 +79,9 @@ class CoordinatorApi:
 
         class Handler(BaseHTTPRequestHandler):
             protocol_version = "HTTP/1.1"
+            # Keep-alive replies go out as two writes (headers, body); with
+            # Nagle on, the body waits ~40 ms for the client's delayed ACK.
+            disable_nagle_algorithm = True
             timeout = socket_timeout_s
 
             def do_POST(self) -> None:  # noqa: N802 - http.server API
@@ -208,7 +212,6 @@ class CoordinatorApi:
         self._httpd = ThreadingHTTPServer(
             (self._host, self._requested_port), Handler
         )
-        self._httpd.daemon_threads = True
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
             name="repro-dist-http",

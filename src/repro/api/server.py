@@ -35,11 +35,12 @@ from __future__ import annotations
 
 import json
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qsl, urlsplit
 
 from repro import obs as _obs
+from repro.obs.server import ThreadingHTTPServer
 
 from .ingest import MAX_WIRE_BYTES, IngestError, parse_ctx_size
 from .models import (
@@ -96,6 +97,9 @@ class ApiServer:
 
         class Handler(BaseHTTPRequestHandler):
             protocol_version = "HTTP/1.1"
+            # Keep-alive replies go out as two writes (headers, body); with
+            # Nagle on, the body waits ~40 ms for the client's delayed ACK.
+            disable_nagle_algorithm = True
             # http.server applies this to the connection socket: a stalled
             # client trips it and the handler thread is reclaimed.
             timeout = socket_timeout_s
@@ -257,7 +261,6 @@ class ApiServer:
         self._httpd = ThreadingHTTPServer(
             (self._host, self._requested_port), Handler
         )
-        self._httpd.daemon_threads = True
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
             name="repro-api-http",

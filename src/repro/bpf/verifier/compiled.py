@@ -85,8 +85,7 @@ NoteFn = Optional[Callable[[int, str, ScalarValue], None]]
 #: A compiled non-terminator instruction: applies one abstract transfer.
 #: ``idx`` (the instruction index) is a *call-time* argument, used only
 #: for error reporting and telemetry — keeping it out of the closure
-#: cells makes every closure position-independent, so compiled steps are
-#: shared across programs via the instruction-keyed cache below.
+#: cells makes every closure position-independent.
 StepFn = Callable[[AbstractState, NoteFn, int], None]
 #: A compiled conditional jump: returns the (fall-through, taken) states.
 BranchFn = Callable[[AbstractState, NoteFn, int], Tuple[AbstractState, AbstractState]]
@@ -571,38 +570,6 @@ def _compile_insn(insn: Instruction, ctx_size: int) -> StepFn:
     return _raiser(f"unsupported opcode {insn.opcode:#04x}")
 
 
-#: Cross-program closure caches.  A compiled closure depends only on the
-#: instruction's encoding (plus ctx size for memory ops) — never on its
-#: position — so identical instructions in *different* programs share one
-#: closure.  Fuzz campaigns draw millions of instructions from a small
-#: effective alphabet, which makes compilation almost free in steady
-#: state.  Bounded: a full cache is dropped wholesale (refilling is
-#: cheap, eviction bookkeeping is not).
-_STEP_CACHE: dict = {}
-_BRANCH_CACHE: dict = {}
-_CACHE_LIMIT = 32768
-
-
-def _step_for(insn: Instruction, ctx_size: int) -> StepFn:
-    key = (insn.opcode, insn.dst, insn.src, insn.off, insn.imm, ctx_size)
-    step = _STEP_CACHE.get(key)
-    if step is None:
-        if len(_STEP_CACHE) >= _CACHE_LIMIT:
-            _STEP_CACHE.clear()
-        step = _STEP_CACHE[key] = _compile_insn(insn, ctx_size)
-    return step
-
-
-def _branch_for(insn: Instruction) -> BranchFn:
-    key = (insn.opcode, insn.dst, insn.src, insn.imm)
-    branch = _BRANCH_CACHE.get(key)
-    if branch is None:
-        if len(_BRANCH_CACHE) >= _CACHE_LIMIT:
-            _BRANCH_CACHE.clear()
-        branch = _BRANCH_CACHE[key] = _compile_branch(insn)
-    return branch
-
-
 def compile_verifier(program: "Program", ctx_size: int) -> CompiledVerifierProgram:
     """Compile every instruction exactly once; freeze CFG + walk order.
 
@@ -612,8 +579,7 @@ def compile_verifier(program: "Program", ctx_size: int) -> CompiledVerifierProgr
     cfg = build_cfg(program)
     insns = program.insns
     # Checked once per compile: with obs off the loop below builds the
-    # exact closures of the uninstrumented design (the shared caches are
-    # never polluted with timing shims either way).
+    # exact closures of the uninstrumented design.
     instrument = _obs.enabled()
     blocks: List[CompiledBlock] = []
     for block_id in cfg.reverse_post_order():
@@ -621,7 +587,7 @@ def compile_verifier(program: "Program", ctx_size: int) -> CompiledVerifierProgr
         last = insns[blk.end]
         if last.is_cond_jump():
             body_end = blk.end - 1
-            branch: Optional[BranchFn] = _branch_for(last)
+            branch: Optional[BranchFn] = _compile_branch(last)
             if instrument:
                 branch = _timed_branch(branch, step_label(last))
             is_exit = False
@@ -630,7 +596,7 @@ def compile_verifier(program: "Program", ctx_size: int) -> CompiledVerifierProgr
             branch = None
             is_exit = last.is_exit()
         indices = range(blk.start, body_end + 1)
-        steps = [_step_for(insns[i], ctx_size) for i in indices]
+        steps = [_compile_insn(insns[i], ctx_size) for i in indices]
         if instrument:
             steps = [
                 _timed_step(step, step_label(insns[i]))

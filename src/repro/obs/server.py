@@ -16,16 +16,30 @@ its own diagnostics.
 
 from __future__ import annotations
 
+import http.server
 import json
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 from typing import Callable, Dict, Optional
 
 from .heartbeat import read_heartbeat, staleness_warning
 from .metrics import Registry
 
-__all__ = ["StatsServer"]
+__all__ = ["StatsServer", "ThreadingHTTPServer"]
+
+
+class ThreadingHTTPServer(http.server.ThreadingHTTPServer):
+    """The stdlib server with the settings every repro server shares.
+
+    The stdlib listen backlog of 5 drops connection bursts: a few dozen
+    clients connecting at once see SYN retries of a second or more.
+    Handler threads are daemons, so a stalled client never holds up
+    process exit.
+    """
+
+    request_queue_size = 128
+    daemon_threads = True
 
 
 class StatsServer:
@@ -92,7 +106,6 @@ class StatsServer:
         self._httpd = ThreadingHTTPServer(
             (self._host, self._requested_port), Handler
         )
-        self._httpd.daemon_threads = True
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
             name="repro-obs-stats",

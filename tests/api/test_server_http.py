@@ -9,6 +9,8 @@ tests).
 import http.client
 import json
 import socket
+import threading
+import time
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -17,6 +19,7 @@ import pytest
 
 from repro.api import ApiServer, VerificationService
 from repro.bpf import assemble
+from tests.conftest import keepalive_median_ms
 
 ACCEPTED = "mov r0, 7\nadd r0, 3\nexit"
 REJECTED = "ldxdw r0, [r10-8]\nexit"
@@ -243,6 +246,45 @@ class TestReadEndpoints:
             text = response.read().decode()
         assert "repro_api_requests_total" in text
         assert "repro_api_cache_hits_total" in text
+
+
+class TestConnectionHandling:
+    """Replies never wait on the client's delayed ACK, and a connection
+    burst never overflows the listen backlog."""
+
+    def test_keepalive_healthz_is_not_ack_delayed(self, server):
+        assert keepalive_median_ms(server.url, "GET", "/healthz") < 20.0
+
+    def test_keepalive_verify_is_not_ack_delayed(self, server):
+        body = json.dumps(hex_payload(ACCEPTED)).encode()
+        median = keepalive_median_ms(
+            server.url, "POST", "/verify", body=body,
+            headers={"Content-Type": "application/json"},
+        )
+        assert median < 20.0
+
+    def test_connection_burst_is_answered_promptly(self, server):
+        n = 64
+        barrier = threading.Barrier(n)
+        results = [None] * n
+
+        def probe(i):
+            barrier.wait()
+            start = time.perf_counter()
+            try:
+                status, _ = get(server, "/healthz")
+            except OSError as exc:
+                status = repr(exc)
+            results[i] = (status, time.perf_counter() - start)
+
+        threads = [threading.Thread(target=probe, args=(i,))
+                   for i in range(n)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert all(status == 200 for status, _ in results), results
+        assert max(elapsed for _, elapsed in results) < 1.0
 
 
 class TestFaultsEcho:

@@ -14,6 +14,9 @@ and a fuzz sweep of ≥500 generator-produced programs per opcode profile
 refinement chains, and the CFG/structural rejection paths end to end).
 """
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.bpf import Program, assemble
@@ -289,3 +292,27 @@ class TestGeneratedPrograms:
         program = generate_program(1).program
         assert program.compiled_verifier(64) is program.compiled_verifier(64)
         assert program.compiled_verifier(32) is not program.compiled_verifier(64)
+
+
+class TestCompiledMemory:
+    def test_distinct_programs_leave_nothing_behind(self):
+        # A fresh Program owns its compiled closures: once it is gone,
+        # nothing of its compilation may stay alive in the process.
+        verifier = Verifier(ctx_size=64)
+        for seed in range(100):
+            verifier.verify(generate_program(seed, profile="mixed").program)
+        insns = [
+            generate_program(seed, profile="mixed").program.insns
+            for seed in range(100, 600)
+        ]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for program_insns in insns:
+                verifier.verify(Program(program_insns))
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 512 * 1024

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import http.client
 import random
+import statistics
+import time
+import urllib.parse
 
 import pytest
 from hypothesis import strategies as st
@@ -34,6 +38,29 @@ def members(t: Tnum, rng: random.Random, count: int = 3):
         fill = rng.randint(0, mask_for_width(t.width)) & t.mask
         out.append(t.value | fill)
     return out
+
+
+def keepalive_median_ms(base_url, method, path, body=None, headers=None,
+                        n=20):
+    """Median latency of ``n`` requests over one persistent connection.
+
+    With Nagle on, every reply after the first waits ~40 ms for the
+    client's delayed ACK of its headers.
+    """
+    url = urllib.parse.urlsplit(base_url)
+    conn = http.client.HTTPConnection(url.hostname, url.port, timeout=10)
+    times = []
+    try:
+        for _ in range(n):
+            start = time.perf_counter()
+            conn.request(method, path, body=body, headers=headers or {})
+            response = conn.getresponse()
+            response.read()
+            times.append(time.perf_counter() - start)
+            assert response.status == 200
+    finally:
+        conn.close()
+    return statistics.median(times) * 1000.0
 
 
 @pytest.fixture

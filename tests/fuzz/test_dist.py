@@ -38,6 +38,7 @@ from repro.fuzz.dist import (
 )
 from repro.fuzz.resilience import QuarantinedBatch, RetryPolicy
 from repro.api.dist import CoordinatorApi
+from tests.conftest import keepalive_median_ms
 
 
 @pytest.fixture(autouse=True)
@@ -623,6 +624,13 @@ class TestCoordinatorHttp:
             api.stop()
         assert response.status == 400
         assert body["error"]["code"] == "missing-body"
+
+    def test_keepalive_healthz_is_not_ack_delayed(self, tmp_path):
+        _, api = self._serve(tmp_path, spec=CampaignSpec(workers=1, **SMALL))
+        try:
+            assert keepalive_median_ms(api.url, "GET", "/healthz") < 20.0
+        finally:
+            api.stop()
 
     def test_worker_rides_out_dropped_posts(self, baseline, tmp_path):
         # POSTs "drop" until the bounded retry loop forces them through
