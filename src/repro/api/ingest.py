@@ -25,6 +25,7 @@ from typing import Dict, Optional
 from repro.bpf import isa
 from repro.bpf.insn import decode_program
 from repro.bpf.program import Program, ProgramError
+from repro.httpd import HttpError
 
 __all__ = [
     "IngestError",
@@ -51,7 +52,7 @@ MAX_CTX_SIZE = 65536
 DEFAULT_CTX_SIZE = 64
 
 
-class IngestError(ValueError):
+class IngestError(HttpError, ValueError):
     """A rejected program submission, with a structured reason.
 
     ``status`` is the HTTP status class the service answers with (400
@@ -59,12 +60,6 @@ class IngestError(ValueError):
     and ``code`` is a stable kebab-case identifier clients can switch
     on; ``str(err)`` stays the human-readable message.
     """
-
-    def __init__(self, status: int, code: str, message: str) -> None:
-        super().__init__(message)
-        self.status = status
-        self.code = code
-        self.message = message
 
     def to_payload(self) -> Dict:
         return {"code": self.code, "message": self.message}

@@ -33,6 +33,7 @@ from typing import Dict, Iterable, Optional, Tuple
 from repro import faults as _faults
 from repro.bpf.program import Program
 from repro.bpf.verifier.errors import VerificationResult, VerifierError
+from repro.httpd import SCHEMA_VERSION, error_payload
 
 from .ingest import (
     DEFAULT_CTX_SIZE,
@@ -48,29 +49,18 @@ __all__ = [
     "VerdictError",
     "Verdict",
     "error_payload",
-    "faults_echo",
     "precision_summary",
+    "with_faults",
 ]
 
 #: Version of the request/response payload shape served by the API and
-#: ``repro verify --json``.  Additive fields do not bump it.
-API_SCHEMA_VERSION = 1
+#: ``repro verify --json`` — the error envelope's
+#: (:func:`~repro.httpd.error_payload`).  Additive fields do not bump it.
+API_SCHEMA_VERSION = SCHEMA_VERSION
 
 
-def error_payload(code: str, message: str) -> dict:
-    """The one structured error shape every API surface renders.
-
-    Clients switch on ``error.code``, never on prose — 503 (shed), 504
-    (deadline), and every 4xx all share this envelope.
-    """
-    return {
-        "schema_version": API_SCHEMA_VERSION,
-        "error": {"code": code, "message": message},
-    }
-
-
-def faults_echo() -> Optional[dict]:
-    """The armed fault plan, or None when injection is off.
+def with_faults(payload: dict) -> dict:
+    """``payload`` plus the armed fault plan under ``"faults"``, if any.
 
     ``/healthz`` and ``/stats`` (on every HTTP surface — the
     verification service and the dist coordinator) echo this so a chaos
@@ -79,9 +69,9 @@ def faults_echo() -> Optional[dict]:
     ``REPRO_FAULTS`` would otherwise pass its chaos suite vacuously.
     """
     plan = _faults.active_plan()
-    if plan is None:
-        return None
-    return {"spec": plan.to_spec(), "seed": plan.seed}
+    if plan is not None:
+        payload["faults"] = {"spec": plan.to_spec(), "seed": plan.seed}
+    return payload
 
 
 @dataclass

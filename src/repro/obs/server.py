@@ -1,6 +1,6 @@
 """Live stats endpoint: a background ``http.server`` thread.
 
-Serves two routes from the standard library only:
+Serves two routes on the shared :mod:`repro.httpd` substrate:
 
 * ``GET /metrics`` — the registry in Prometheus text exposition format;
 * ``GET /stats``   — JSON: the latest heartbeat snapshot (with a
@@ -16,33 +16,18 @@ its own diagnostics.
 
 from __future__ import annotations
 
-import http.server
-import json
-import threading
-from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 from typing import Callable, Dict, Optional
+
+from repro.httpd import BackgroundServer, JsonHandler, ThreadingHTTPServer
 
 from .heartbeat import read_heartbeat, staleness_warning
 from .metrics import Registry
 
-__all__ = ["StatsServer", "ThreadingHTTPServer"]
+__all__ = ["StatsServer"]
 
 
-class ThreadingHTTPServer(http.server.ThreadingHTTPServer):
-    """The stdlib server with the settings every repro server shares.
-
-    The stdlib listen backlog of 5 drops connection bursts: a few dozen
-    clients connecting at once see SYN retries of a second or more.
-    Handler threads are daemons, so a stalled client never holds up
-    process exit.
-    """
-
-    request_queue_size = 128
-    daemon_threads = True
-
-
-class StatsServer:
+class StatsServer(BackgroundServer):
     """Serve ``/metrics`` and ``/stats`` for a registry + obs directory.
 
     ``registry_fn`` is called per request so the live (mutating)
@@ -57,71 +42,17 @@ class StatsServer:
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
+        super().__init__(host, port)
         self._registry_fn = registry_fn
         self._obs_dir = Path(obs_dir) if obs_dir is not None else None
-        self._host = host
-        self._requested_port = port
-        self._httpd: Optional[ThreadingHTTPServer] = None
-        self._thread: Optional[threading.Thread] = None
-
-    # -- lifecycle ----------------------------------------------------------
-
-    @property
-    def port(self) -> int:
-        if self._httpd is None:
-            return self._requested_port
-        return self._httpd.server_address[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self._host}:{self.port}"
 
     def start(self) -> "StatsServer":
-        server = self
+        class Handler(_Routes):
+            stats = self
 
-        class Handler(BaseHTTPRequestHandler):
-            def do_GET(self) -> None:  # noqa: N802 - http.server API
-                if self.path.split("?", 1)[0] == "/metrics":
-                    body = server._registry_fn().render_prometheus()
-                    self._reply(200, body, "text/plain; version=0.0.4")
-                elif self.path.split("?", 1)[0] == "/stats":
-                    body = json.dumps(
-                        server.stats_payload(), indent=2, sort_keys=True
-                    ) + "\n"
-                    self._reply(200, body, "application/json")
-                else:
-                    self._reply(404, "not found\n", "text/plain")
-
-            def _reply(self, code: int, body: str, ctype: str) -> None:
-                data = body.encode("utf-8")
-                self.send_response(code)
-                self.send_header("Content-Type", ctype)
-                self.send_header("Content-Length", str(len(data)))
-                self.end_headers()
-                self.wfile.write(data)
-
-            def log_message(self, fmt: str, *args: object) -> None:
-                pass  # diagnostics must not spam the campaign's stdout
-
-        self._httpd = ThreadingHTTPServer(
-            (self._host, self._requested_port), Handler
-        )
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            name="repro-obs-stats",
-            daemon=True,
-        )
-        self._thread.start()
+        self._serve(ThreadingHTTPServer(self.address, Handler),
+                    "repro-obs-stats")
         return self
-
-    def stop(self) -> None:
-        if self._httpd is not None:
-            self._httpd.shutdown()
-            self._httpd.server_close()
-            self._httpd = None
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
 
     # -- payloads -----------------------------------------------------------
 
@@ -143,3 +74,14 @@ class StatsServer:
                 if warning:
                     payload["stale"] = warning
         return payload
+
+
+class _Routes(JsonHandler):
+    stats: StatsServer
+
+    routes = {
+        "/metrics": {
+            "GET": lambda self: self.stats._registry_fn().render_prometheus()
+        },
+        "/stats": {"GET": lambda self: self.stats.stats_payload()},
+    }

@@ -189,6 +189,25 @@ class TestRejections:
         assert status == 404
         assert_error_shape(body)
 
+    @pytest.mark.parametrize("method, path, allow", [
+        ("POST", "/stats", "GET"),
+        ("PUT", "/verify", "POST"),
+    ])
+    def test_wrong_method_is_a_json_405_with_allow(
+        self, server, method, path, allow
+    ):
+        request = urllib.request.Request(
+            server.url + path, data=b"{}", method=method,
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=10)
+        assert excinfo.value.code == 405
+        assert excinfo.value.headers["Allow"] == allow
+        body = json.loads(excinfo.value.read())
+        assert_error_shape(body)
+        assert body["error"]["code"] == "method-not-allowed"
+
     def test_negative_content_length_is_400_not_a_hang(self, server):
         # rfile.read(-1) would block the handler until the client hangs
         # up; the reply must come back well inside the socket timeout.

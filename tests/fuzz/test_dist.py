@@ -625,6 +625,40 @@ class TestCoordinatorHttp:
         assert response.status == 400
         assert body["error"]["code"] == "missing-body"
 
+    def test_query_string_does_not_hide_the_route(self, tmp_path):
+        coordinator, api = self._serve(
+            tmp_path, spec=CampaignSpec(workers=1, **SMALL)
+        )
+        try:
+            health = self._get(api.url + "/healthz?probe=1")
+            stats = self._get(api.url + "/stats?x=1")
+        finally:
+            api.stop()
+        assert health["campaign_id"] == coordinator.cid
+        assert stats["campaign_id"] == coordinator.cid
+
+    @pytest.mark.parametrize("method, path, allow", [
+        ("POST", "/stats", "GET"),
+        ("PUT", "/lease", "POST"),
+    ])
+    def test_wrong_method_is_a_json_405_with_allow(
+        self, tmp_path, method, path, allow
+    ):
+        _, api = self._serve(tmp_path, spec=CampaignSpec(workers=1, **SMALL))
+        try:
+            request = urllib.request.Request(
+                api.url + path, data=b"{}", method=method,
+                headers={"Content-Type": "application/json"},
+            )
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(request, timeout=30)
+        finally:
+            api.stop()
+        assert err.value.code == 405
+        assert err.value.headers["Allow"] == allow
+        body = json.loads(err.value.read().decode())
+        assert body["error"]["code"] == "method-not-allowed"
+
     def test_keepalive_healthz_is_not_ack_delayed(self, tmp_path):
         _, api = self._serve(tmp_path, spec=CampaignSpec(workers=1, **SMALL))
         try:

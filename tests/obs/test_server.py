@@ -69,3 +69,52 @@ def test_live_registry_mutations_are_visible(registry):
     finally:
         server.stop()
     assert "repro_oracle_programs_total 20" in body
+
+
+def _error(url: str, method: str = "GET"):
+    request = urllib.request.Request(url, method=method)
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        urllib.request.urlopen(request, timeout=5)
+    err = excinfo.value
+    return err.code, err.headers, json.loads(err.read())
+
+
+def test_unknown_route_is_the_json_404_envelope(registry):
+    server = StatsServer(lambda: registry).start()
+    try:
+        status, _, body = _error(server.url + "/nope")
+    finally:
+        server.stop()
+    assert status == 404
+    assert body == {
+        "schema_version": 1,
+        "error": {"code": "not-found", "message": "no such route: /nope"},
+    }
+
+
+def test_raising_registry_fn_is_the_500_envelope():
+    def broken() -> Registry:
+        raise RuntimeError("registry unavailable")
+
+    server = StatsServer(broken).start()
+    try:
+        status, _, body = _error(server.url + "/metrics")
+    finally:
+        server.stop()
+    assert status == 500
+    assert body["error"] == {
+        "code": "internal-error", "message": "registry unavailable",
+    }
+
+
+@pytest.mark.parametrize("method, path", [("POST", "/stats"),
+                                          ("PUT", "/metrics")])
+def test_wrong_method_is_a_json_405_with_allow(registry, method, path):
+    server = StatsServer(lambda: registry).start()
+    try:
+        status, headers, body = _error(server.url + path, method)
+    finally:
+        server.stop()
+    assert status == 405
+    assert headers["Allow"] == "GET"
+    assert body["error"]["code"] == "method-not-allowed"
