@@ -725,16 +725,20 @@ def _cmd_fuzz(args) -> int:
     policy = _retry_policy(args)
     if isinstance(policy, int):
         return policy
-    config = CampaignConfig(
-        budget=args.budget,
-        seed=args.seed,
-        workers=args.workers,
-        profile=args.profile,
-        max_insns=args.max_insns,
-        ctx_size=args.ctx_size,
-        inputs_per_program=args.inputs,
-        shrink=not args.no_shrink,
-    )
+    try:
+        config = CampaignConfig(
+            budget=args.budget,
+            seed=args.seed,
+            workers=args.workers,
+            profile=args.profile,
+            max_insns=args.max_insns,
+            ctx_size=args.ctx_size,
+            inputs_per_program=args.inputs,
+            shrink=not args.no_shrink,
+        )
+    except ValueError as exc:   # bad option values
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     corpus = Corpus()
     with _obs_session(args):
         result = run_campaign(config, corpus, retry_policy=policy)

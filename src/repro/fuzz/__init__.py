@@ -27,17 +27,19 @@ Pipeline
     JSON persistence for failures (original + shrunk bytecode) and
     interesting seeds; entries replay exactly via the wire format.
 :mod:`~repro.fuzz.driver`
-    Budgeted multiprocessing campaign driver with per-program RNG
+    ``repro fuzz``: the campaign's one-round, mutation-off,
+    telemetry-off mode — a budgeted soundness run with per-program RNG
     streams (deterministic for a given seed regardless of worker count)
     and throughput reporting.
 :mod:`~repro.fuzz.mutate`
     Mutation engine (splice, opcode tweak, constant nudge) turning
     corpus seeds back into fresh inputs.
 :mod:`~repro.fuzz.campaign`
-    Precision campaigns: multi-round, resumable runs that attribute
-    rejected-but-clean rates, γ-size histograms, and tightness deltas to
-    individual transfer functions, and feed shrunk near-miss programs
-    back in as mutation seeds.  Results merge into a deterministic
+    The one campaign executor.  Precision campaigns: multi-round,
+    resumable runs that attribute rejected-but-clean rates, γ-size
+    histograms, and tightness deltas to individual transfer functions,
+    and feed shrunk near-miss programs back in as mutation seeds.
+    Results merge into a deterministic
     :class:`~repro.eval.precision.PrecisionReport`.
 :mod:`~repro.fuzz.resilience`
     Crash recovery for multi-worker runs: per-batch leases with bounded

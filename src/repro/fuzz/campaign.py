@@ -1,9 +1,11 @@
 """Campaign-scale fuzzing with per-operator precision telemetry.
 
-The plain driver (:mod:`repro.fuzz.driver`) answers *is the verifier
-sound?*  This layer answers the paper's second question — *is it
-precise?* — at whole-program scale.  A precision campaign runs in
-rounds; every program is fuzzed through a telemetry-carrying oracle that
+This module is the package's one campaign executor.  ``repro fuzz``
+(:mod:`repro.fuzz.driver`) is its one-round, mutation-off,
+telemetry-off mode and answers *is the verifier sound?*  A full
+precision campaign also answers the paper's second question — *is it
+precise?* — at whole-program scale.  It runs in rounds; every program
+is fuzzed through a telemetry-carrying oracle that
 attributes three imprecision signals to the transfer function that
 caused them (via the verifier's ``on_transfer`` hook and the
 interpreter's ``on_step`` replay observations):
@@ -49,7 +51,6 @@ from repro.bpf.verifier.compiled import step_label
 from repro.eval.precision import OperatorStats, PrecisionReport, gamma_bits
 
 from .corpus import Corpus
-from .driver import program_seed, shrink_violation
 from .generator import PROFILES, generate_program
 from .mutate import mutate_program
 from .oracle import DifferentialOracle
@@ -68,7 +69,9 @@ __all__ = [
     "PrecisionCampaignResult",
     "TransferCollector",
     "merge_round_results",
+    "program_seed",
     "run_precision_campaign",
+    "shrink_violation",
 ]
 
 
@@ -77,12 +80,26 @@ class CampaignStateError(ValueError):
 
 U64 = (1 << 64) - 1
 
+#: Odd multiplier decorrelating per-program RNG streams from the
+#: campaign seed (splitmix64's increment).
+_STREAM_MIX = 0x9E37_79B9_7F4A_7C15
+
 #: Decorrelates the mutation-decision RNG from the generator stream.
 _MUTATE_MIX = 0xD1B5_4A32_D192_ED03
 
 _STATE_FORMAT_VERSION = 1
 _STATE_FILE = "state.json"
 _CORPUS_FILE = "corpus.json"
+
+
+def program_seed(campaign_seed: int, index: int) -> int:
+    """Generator seed for program ``index`` of a campaign.
+
+    Derived from ``(campaign_seed, index)`` only, never from worker-local
+    state, so every campaign (local or distributed, any mode) gets
+    bit-identical streams regardless of worker count.
+    """
+    return (campaign_seed * _STREAM_MIX + index * 2_654_435_761 + 1) & U64
 
 
 @dataclass(frozen=True)
@@ -121,6 +138,10 @@ class CampaignSpec:
             raise ValueError("rounds must be >= 1")
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
+        if self.ctx_size < 0:
+            raise ValueError("ctx_size must be >= 0")
+        if self.inputs_per_program < 1:
+            raise ValueError("inputs_per_program must be >= 1")
         if not 0.0 <= self.mutate_fraction <= 1.0:
             raise ValueError("mutate_fraction must be within [0, 1]")
 
@@ -252,6 +273,10 @@ _ZERO_OP_COUNTERS = {
 #: instead of pickled per work item.
 _worker_spec: Optional[CampaignSpec] = None
 _worker_pool: Tuple[str, ...] = ()
+#: False in ``repro fuzz`` mode: the oracle runs without the transfer
+#: hook and range collection, so results carry no γ-size histograms or
+#: tightness deltas.
+_worker_telemetry = True
 #: Pool programs decoded lazily, at most once per worker per round: many
 #: work items mutate the same base seed, and a decoded ``Program``
 #: carries its cached compiled (concrete and abstract) forms with it.
@@ -262,11 +287,14 @@ def _set_worker_state(
     spec: CampaignSpec,
     pool: Tuple[str, ...],
     obs_state: "Optional[Tuple[bool, int]]" = None,
+    telemetry: bool = True,
 ) -> None:
     global _worker_spec, _worker_pool, _worker_pool_programs
+    global _worker_telemetry
     _worker_spec = spec
     _worker_pool = pool
     _worker_pool_programs = {}
+    _worker_telemetry = telemetry
     # Workers inherit the parent's obs switch (compiled closures must
     # instrument consistently) but no sinks — metrics return with each
     # result via the scoped registry.
@@ -283,12 +311,15 @@ def _pool_program(index: int) -> Program:
     return program
 
 
-def _telemetry_oracle(spec: CampaignSpec, collector: TransferCollector):
+def _oracle(
+    spec: CampaignSpec, collector: Optional[TransferCollector] = None
+) -> DifferentialOracle:
+    """The campaign's oracle; telemetry flows into ``collector``, if any."""
     return DifferentialOracle(
         ctx_size=spec.ctx_size,
         inputs_per_program=spec.inputs_per_program,
-        on_transfer=collector.record,
-        collect_ranges=True,
+        on_transfer=collector.record if collector is not None else None,
+        collect_ranges=collector is not None,
         step_limit=spec.step_limit,
     )
 
@@ -381,22 +412,24 @@ def _fuzz_one_inner(index: int) -> Dict:
         spec, pool, index, get_pool_program=_pool_program
     )
 
-    collector = TransferCollector()
-    oracle = _telemetry_oracle(spec, collector)
-    report = oracle.check_program(program, input_seed_base=seed)
+    collector = TransferCollector() if _worker_telemetry else None
+    report = _oracle(spec, collector).check_program(
+        program, input_seed_base=seed
+    )
 
-    ops = collector.ops
-    for entry in ops.values():
-        entry.update(_ZERO_OP_COUNTERS)
-
+    ops: Dict[str, Dict] = {}
     near_miss = False
-    for label, delta in _iter_tightness(collector, report):
-        entry = ops[label]
-        entry["tightness_sum"] += delta
-        entry["tightness_count"] += 1
-        entry["tightness_max"] = max(entry["tightness_max"], delta)
-        if delta >= spec.tightness_seed_threshold:
-            near_miss = True
+    if collector is not None:
+        ops = collector.ops
+        for entry in ops.values():
+            entry.update(_ZERO_OP_COUNTERS)
+        for label, delta in _iter_tightness(collector, report):
+            entry = ops[label]
+            entry["tightness_sum"] += delta
+            entry["tightness_count"] += 1
+            entry["tightness_max"] = max(entry["tightness_max"], delta)
+            if delta >= spec.tightness_seed_threshold:
+                near_miss = True
 
     reject_label: Optional[str] = None
     if report.verdict == "rejected":
@@ -463,12 +496,9 @@ def _merge_result(report: PrecisionReport, res: Dict) -> None:
 def _still_rejected_clean(
     spec: CampaignSpec, program: Program, input_seed_base: int
 ) -> bool:
-    oracle = DifferentialOracle(
-        ctx_size=spec.ctx_size,
-        inputs_per_program=spec.inputs_per_program,
-        step_limit=spec.step_limit,
+    rep = _oracle(spec).check_program(
+        program, input_seed_base=input_seed_base
     )
-    rep = oracle.check_program(program, input_seed_base=input_seed_base)
     # reject_pc is None for structural (CFG) rejections — shrinking must
     # not drift an imprecision witness into a dead-code witness.
     return (
@@ -482,8 +512,9 @@ def _still_near_miss(
     spec: CampaignSpec, program: Program, input_seed_base: int
 ) -> bool:
     collector = TransferCollector()
-    oracle = _telemetry_oracle(spec, collector)
-    rep = oracle.check_program(program, input_seed_base=input_seed_base)
+    rep = _oracle(spec, collector).check_program(
+        program, input_seed_base=input_seed_base
+    )
     if rep.verdict != "accepted" or rep.violations:
         return False
     return any(
@@ -507,6 +538,27 @@ def _shrink_seed(
         lambda p: predicate(spec, p, input_seed_base),
         max_candidates=150,
     )
+    return shrunk
+
+
+def shrink_violation(
+    spec: CampaignSpec, bytecode_hex: str, input_seed_base: int
+) -> Optional[Program]:
+    """Minimize a failing program against the oracle that caught it."""
+    program = Program.from_bytes(bytes.fromhex(bytecode_hex))
+    oracle = DifferentialOracle(
+        ctx_size=spec.ctx_size,
+        inputs_per_program=spec.inputs_per_program,
+    )
+
+    def still_failing(candidate: Program) -> bool:
+        return not oracle.check_program(
+            candidate, input_seed_base=input_seed_base
+        ).ok
+
+    if not still_failing(program):  # non-reproducible; keep the original
+        return None
+    shrunk, _ = shrink_program(program, still_failing)
     return shrunk
 
 
@@ -793,6 +845,26 @@ def run_precision_campaign(
     byte-identical to a fault-free run whenever no batch is actually
     quarantined.
     """
+    return _run_rounds(
+        spec, corpus, state_dir, stop_after_rounds, retry_policy,
+        telemetry=True,
+    )
+
+
+def _run_rounds(
+    spec: CampaignSpec,
+    corpus: Optional[Corpus],
+    state_dir: Optional["str | Path"],
+    stop_after_rounds: Optional[int],
+    retry_policy: Optional[RetryPolicy],
+    telemetry: bool,
+) -> PrecisionCampaignResult:
+    """The round loop behind every campaign entry point.
+
+    ``telemetry=False`` is ``repro fuzz``'s mode: the soundness counters
+    and violations are the same, but the oracle runs without the
+    telemetry hooks, so the report holds no γ-size or tightness data.
+    """
     retry_policy = retry_policy or RetryPolicy()
     state_path = Path(state_dir) if state_dir is not None else None
     if state_path is not None:
@@ -841,7 +913,8 @@ def run_precision_campaign(
                     _fuzz_batch,
                     spec.workers,
                     initializer=_set_worker_state,
-                    initargs=(spec, round_pool, _obs.worker_init_state()),
+                    initargs=(spec, round_pool, _obs.worker_init_state(),
+                              telemetry),
                     policy=retry_policy,
                 )
             results = lease_out.results
@@ -852,7 +925,7 @@ def run_precision_campaign(
             ):
                 quarantined_payloads.append(poison)
         else:
-            _set_worker_state(spec, round_pool)
+            _set_worker_state(spec, round_pool, telemetry=telemetry)
             with _obs.tracer().span(
                 "campaign.round", round=rnd, programs=len(indices),
                 workers=1,

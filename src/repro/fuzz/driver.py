@@ -1,12 +1,14 @@
-"""Fuzz campaign driver: budgeted, parallel, deterministic.
+"""``repro fuzz``: the soundness campaign, as a campaign mode.
 
-A campaign fuzzes ``budget`` programs.  Program ``i`` is produced from an
-RNG stream derived from ``(campaign_seed, i)`` — *not* from worker-local
-state — so results are bit-identical regardless of worker count or
-scheduling.  Workers (``multiprocessing.Pool``) each handle a slice of
-indices; with ``workers=1`` everything runs inline, which keeps
-monkeypatched oracles (used by tests to inject transfer-function bugs)
-effective and makes single-process debugging trivial.
+A fuzz campaign is a one-round precision campaign
+(:mod:`repro.fuzz.campaign`) with mutation and per-operator telemetry
+off: ``budget`` freshly generated programs, each checked by the
+differential oracle for containment and accepted crashes.  Program ``i``
+comes from an RNG stream derived from ``(campaign_seed, i)`` only, so
+results are bit-identical whatever the worker count or scheduling.  With
+``workers=1`` everything runs inline, which keeps monkeypatched oracles
+(used by tests to inject transfer-function bugs) effective and makes
+single-process debugging trivial.
 
 Violations are shrunk in the parent with the delta-debugging minimizer,
 using the same input seeds that exposed them, and recorded into the
@@ -17,19 +19,12 @@ a slow oracle caps how much of the program space a campaign can cover.
 
 from __future__ import annotations
 
-import time
-from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Optional
 
-from repro import faults as _faults
-from repro import obs as _obs
-from repro.bpf.program import Program
-
+from .campaign import CampaignSpec, _run_rounds, program_seed
 from .corpus import Corpus
-from .generator import PROFILES, generate_program
-from .oracle import DifferentialOracle
-from .resilience import RetryPolicy, batch_indices, run_leased_batches
-from .shrink import shrink_program
+from .resilience import RetryPolicy
 
 __all__ = [
     "CampaignConfig",
@@ -37,24 +32,7 @@ __all__ = [
     "CampaignResult",
     "run_campaign",
     "program_seed",
-    "shrink_violation",
 ]
-
-U64 = (1 << 64) - 1
-
-#: Odd multiplier decorrelating per-program RNG streams from the
-#: campaign seed (splitmix64's increment).
-_STREAM_MIX = 0x9E37_79B9_7F4A_7C15
-
-
-def program_seed(campaign_seed: int, index: int) -> int:
-    """Generator seed for program ``index`` of a campaign.
-
-    Derived from ``(campaign_seed, index)`` only, never from worker-local
-    state, so every campaign layer (plain driver, precision campaign)
-    gets bit-identical streams regardless of worker count.
-    """
-    return (campaign_seed * _STREAM_MIX + index * 2_654_435_761 + 1) & U64
 
 
 @dataclass(frozen=True)
@@ -69,14 +47,29 @@ class CampaignConfig:
     ctx_size: int = 64
     inputs_per_program: int = 8
     shrink: bool = True
-    keep_interesting: int = 0   # save every Nth accepted program (0 = none)
 
     def __post_init__(self) -> None:
-        if self.profile not in PROFILES:
-            raise KeyError(
-                f"unknown profile {self.profile!r}; "
-                f"choose from {sorted(PROFILES)}"
-            )
+        # The spec validates: KeyError for an unknown profile,
+        # ValueError for a size out of range.
+        _spec(self)
+
+
+def _spec(config: CampaignConfig) -> CampaignSpec:
+    """The one-round, mutation-off campaign ``config`` describes."""
+    return CampaignSpec(
+        budget=config.budget,
+        rounds=1,
+        seed=config.seed,
+        workers=config.workers,
+        profile=config.profile,
+        max_insns=config.max_insns,
+        ctx_size=config.ctx_size,
+        inputs_per_program=config.inputs_per_program,
+        mutate_fraction=0.0,
+        seeds_per_round=0,
+        seed_shrink_per_round=0,
+        shrink=config.shrink,
+    )
 
 
 @dataclass
@@ -142,117 +135,6 @@ class CampaignResult:
         return self.stats.violations == 0
 
 
-#: Campaign config, installed once per worker (pool initializer or
-#: inline) instead of pickled into every work item.
-_worker_config: Optional[CampaignConfig] = None
-
-
-def _set_worker_config(
-    config: CampaignConfig,
-    obs_state: Optional[Tuple[bool, int]] = None,
-) -> None:
-    global _worker_config
-    _worker_config = config
-    # Workers inherit the parent's obs switch (so their compiled
-    # closures instrument consistently) but no sinks — metrics travel
-    # back on each result via the scoped registry.
-    if obs_state is not None:
-        _obs.init_worker(obs_state)
-
-
-def _fuzz_index(index: int) -> Dict:
-    """Fuzz one program index; returns a JSON-friendly summary.
-
-    Top-level so it pickles for ``multiprocessing.Pool``; the config
-    arrives via :func:`_set_worker_config`.
-    """
-    if _obs.enabled():
-        # Merge-on-return: everything this item records (oracle
-        # counters, per-op timings from instrumented closures) lands in
-        # a private registry and ships back with the result.
-        with _obs.scoped_registry() as registry:
-            out = _fuzz_index_inner(index)
-        out["obs"] = registry.to_dict()
-        return out
-    return _fuzz_index_inner(index)
-
-
-def _fuzz_index_inner(index: int) -> Dict:
-    config = _worker_config
-    assert config is not None, "worker config not installed"
-    seed = program_seed(config.seed, index)
-    generated = generate_program(
-        seed, config.profile, config.max_insns, config.ctx_size
-    )
-    oracle = DifferentialOracle(
-        ctx_size=config.ctx_size,
-        inputs_per_program=config.inputs_per_program,
-    )
-    report = oracle.check_program(generated.program, input_seed_base=seed)
-    out: Dict = {
-        "index": index,
-        "seed": seed,
-        "verdict": report.verdict,
-        "checks": report.checks,
-        "rejected_but_clean": report.rejected_but_clean,
-        "violations": [asdict_violation(v) for v in report.violations],
-    }
-    if report.violations or (
-        config.keep_interesting
-        and report.verdict == "accepted"
-        and index % config.keep_interesting == 0
-    ):
-        out["bytecode_hex"] = generated.program.to_bytes().hex()
-    return out
-
-
-def _fuzz_index_batch(
-    indices: "Sequence[int]", attempt: int, inject: bool
-) -> List[Dict]:
-    """Lease-runner batch task (see :mod:`repro.fuzz.resilience`).
-
-    The crash key includes the attempt, so an injected crash does not
-    deterministically recur on retry; ``inject`` is False on the final
-    attempt, which bounds injected chaos without masking real faults.
-    """
-    out: List[Dict] = []
-    for index in indices:
-        if inject and _faults.enabled():
-            _faults.crash_point("campaign.worker.crash", (index, attempt))
-        out.append(_fuzz_index(index))
-    return out
-
-
-def asdict_violation(v) -> Dict:
-    return asdict(v)
-
-
-def shrink_violation(
-    config, bytecode_hex: str, input_seed_base: int
-) -> Optional[Program]:
-    """Minimize a failing program against the oracle that caught it.
-
-    ``config`` needs only ``ctx_size`` and ``inputs_per_program``, so both
-    the plain :class:`CampaignConfig` and the precision campaign's spec
-    work here.
-    """
-    program = Program.from_bytes(bytes.fromhex(bytecode_hex))
-    oracle = DifferentialOracle(
-        ctx_size=config.ctx_size,
-        inputs_per_program=config.inputs_per_program,
-    )
-
-    def still_failing(candidate: Program) -> bool:
-        return not oracle.check_program(
-            candidate, input_seed_base=input_seed_base
-        ).ok
-
-    if not still_failing(program):  # non-reproducible; keep the original
-        return None
-    shrunk, _ = shrink_program(program, still_failing)
-    return shrunk
-
-
 def run_campaign(
     config: CampaignConfig,
     corpus: Optional[Corpus] = None,
@@ -265,80 +147,11 @@ def run_campaign(
     that keeps failing is quarantined (counted on the stats) rather than
     hanging the campaign.
     """
-    corpus = corpus if corpus is not None else Corpus()
-    stats = CampaignStats(budget=config.budget)
-    started = time.perf_counter()
-
-    # Workers get the config once (initializer), work items are bare
-    # indices — a budget-size stream of pickled configs was pure
-    # serialization overhead.
-    indices = range(config.budget)
-    if config.workers > 1:
-        lease_out = run_leased_batches(
-            batch_indices(indices, config.workers),
-            _fuzz_index_batch,
-            config.workers,
-            initializer=_set_worker_config,
-            initargs=(config, _obs.worker_init_state()),
-            policy=retry_policy or RetryPolicy(),
-        )
-        results = lease_out.results
-        stats.retries = lease_out.retries
-        stats.quarantined = len(lease_out.quarantined)
-    else:
-        _set_worker_config(config)
-        results = [_fuzz_index(index) for index in indices]
-
-    # Aggregate in index order so reports are stable across worker counts.
-    results.sort(key=lambda r: r["index"])
-    if _obs.enabled():
-        registry = _obs.default_registry()
-        for res in results:
-            shard = res.pop("obs", None)
-            if shard is not None:
-                registry.merge_dict(shard)
-    for res in results:
-        stats.executed += 1
-        stats.containment_checks += res["checks"]
-        if res["verdict"] == "accepted":
-            stats.accepted += 1
-        else:
-            stats.rejected += 1
-            if res["rejected_but_clean"]:
-                stats.rejected_clean += 1
-        if res["violations"]:
-            stats.violations += len(res["violations"])
-            shrunk = (
-                shrink_violation(config, res["bytecode_hex"], res["seed"])
-                if config.shrink
-                else None
-            )
-            corpus.add_violation(
-                Program.from_bytes(bytes.fromhex(res["bytecode_hex"])),
-                seed=res["seed"],
-                profile=config.profile,
-                violation=res["violations"][0],
-                shrunk=shrunk,
-                note=f"index {res['index']}",
-            )
-        elif "bytecode_hex" in res:
-            corpus.add_interesting(
-                Program.from_bytes(bytes.fromhex(res["bytecode_hex"])),
-                seed=res["seed"],
-                profile=config.profile,
-                note=f"index {res['index']}",
-            )
-
-    stats.elapsed_seconds = time.perf_counter() - started
-    _obs.publish_heartbeat({
-        "phase": "fuzz",
-        "budget": config.budget,
-        "executed": stats.executed,
-        "violations": stats.violations,
-        "retries": stats.retries,
-        "quarantined": stats.quarantined,
-        "corpus_size": len(corpus),
-        "elapsed_s": round(stats.elapsed_seconds, 3),
-        "programs_per_s": round(stats.programs_per_second, 1),
-    }, force=True)
-    return CampaignResult(stats, corpus)
+    result = _run_rounds(
+        _spec(config), corpus, state_dir=None, stop_after_rounds=None,
+        retry_policy=retry_policy, telemetry=False,
+    )
+    stats = CampaignStats(**{
+        f.name: getattr(result.stats, f.name) for f in fields(CampaignStats)
+    })
+    return CampaignResult(stats, result.corpus)

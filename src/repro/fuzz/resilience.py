@@ -24,9 +24,9 @@ one machine:
   retried batch re-executes the same index-derived streams.
 
 The runner is deliberately transport-free of campaign specifics: the
-driver and the precision campaign both hand it a module-level batch
-function plus their existing worker initializer, so worker state
-shipping (spec, mutation pool, obs switch, verdict-cache snapshot) is
+campaign (``repro fuzz`` included, as its one-round mode) hands it a
+module-level batch function plus its worker initializer, so worker
+state shipping (spec, mutation pool, obs and telemetry switches) is
 unchanged from the ``Pool`` era.
 """
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import http.server
 import json
+import sys
 import threading
 from http import HTTPStatus
 from typing import Any, Callable, Dict, Optional, Tuple, Union
@@ -77,11 +78,17 @@ class ThreadingHTTPServer(http.server.ThreadingHTTPServer):
     The stdlib listen backlog of 5 drops connection bursts: a few dozen
     clients connecting at once see SYN retries of a second or more.
     Handler threads are daemons, so a stalled client never holds up
-    process exit.
+    process exit.  A client that resets or stalls between or inside
+    requests ends its connection without a traceback on stderr.
     """
 
     request_queue_size = 128
     daemon_threads = True
+
+    def handle_error(self, request, client_address) -> None:
+        if isinstance(sys.exc_info()[1], (ConnectionError, TimeoutError)):
+            return   # the client went away; nothing to report
+        super().handle_error(request, client_address)
 
 
 #: A route reads the request off the handler and returns the body of a

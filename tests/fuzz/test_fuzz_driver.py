@@ -8,9 +8,11 @@ from repro.cli import main
 from repro.core.tnum import Tnum
 from repro.fuzz import (
     CampaignConfig,
+    CampaignSpec,
     Corpus,
     generate_program,
     run_campaign,
+    run_precision_campaign,
 )
 
 
@@ -43,13 +45,21 @@ class TestCampaign:
         b = run_campaign(parallel)
         assert stats_key(a.stats) == stats_key(b.stats)
 
-    def test_keep_interesting_populates_corpus(self):
-        result = run_campaign(
-            CampaignConfig(budget=20, seed=5, keep_interesting=5)
-        )
-        kinds = {e.kind for e in result.corpus.entries}
-        assert kinds == {"interesting"}
-        assert len(result.corpus) == 4  # indices 0, 5, 10, 15
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_fuzz_stream_is_pinned(self, workers):
+        # Counters of the seed-42 stream, recorded before `repro fuzz`
+        # became a campaign mode; the telemetry-on precision campaign of
+        # the same one-round spec must count exactly the same, so
+        # switching telemetry off changes no soundness count.
+        pinned = (200, 200, 0, 0, 0, 198135)
+        fuzz = run_campaign(CampaignConfig(budget=200, seed=42,
+                                           workers=workers))
+        assert stats_key(fuzz.stats) == pinned
+        precision = run_precision_campaign(CampaignSpec(
+            budget=200, seed=42, workers=workers, rounds=1,
+            mutate_fraction=0.0, seeds_per_round=0, seed_shrink_per_round=0,
+        ))
+        assert stats_key(precision.stats) == pinned
 
     def test_unknown_profile_rejected(self):
         with pytest.raises(KeyError):

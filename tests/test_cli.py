@@ -180,6 +180,28 @@ class TestCampaignCli:
         assert first.read_text() == second.read_text()
 
 
+class TestBadSizes:
+    """Sizes out of range are a usage error, not a silent run or a
+    traceback."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["fuzz", "--budget", "-3"], "budget must be >= 1"),
+        (["fuzz", "--budget", "4", "--inputs", "0"],
+         "inputs_per_program must be >= 1"),
+        (["campaign", "--budget", "4", "--inputs", "0"],
+         "inputs_per_program must be >= 1"),
+        (["fuzz", "--budget", "4", "--ctx-size", "-1"],
+         "ctx_size must be >= 0"),
+        (["campaign", "--budget", "4", "--ctx-size", "-1"],
+         "ctx_size must be >= 0"),
+    ])
+    def test_usage_error(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+
 class TestEval:
     def test_table1(self, capsys):
         assert main(["eval", "table1", "--width", "5"]) == 0

@@ -9,6 +9,8 @@ fixed set — never a 500 — and every non-2xx body is the structured
 import http.client
 import json
 import socket
+import struct
+import threading
 import urllib.parse
 
 import pytest
@@ -19,7 +21,7 @@ from repro.api import ApiServer, VerificationService
 from repro.api.dist import CoordinatorApi
 from repro.fuzz.campaign import CampaignSpec
 from repro.fuzz.dist import Coordinator
-from repro.httpd import JsonHandler
+from repro.httpd import JsonHandler, ThreadingHTTPServer
 from repro.obs import Registry, StatsServer
 
 ALLOWED = {200, 400, 404, 405, 409, 422, 503, 504}
@@ -187,3 +189,41 @@ def test_stalled_body_is_dropped_not_answered(running, monkeypatch):
         b"POST /verify HTTP/1.1\r\nHost: test\r\n"
         b"Content-Type: application/json\r\nContent-Length: 10\r\n\r\n{}"
     ) == b""
+
+
+class _Ping(JsonHandler):
+    routes = {"/ping": {"GET": lambda handler: {"ok": True}}}
+
+
+@pytest.mark.parametrize("sent", [
+    b"GET /ping HTTP/1.1\r\nHost: test\r\n\r\n",   # then idle keep-alive
+    b"GET /pi",                                     # inside the request line
+], ids=["after-a-request", "mid-request-line"])
+def test_client_reset_prints_no_traceback(sent, capsys):
+    # A keep-alive client that vanishes with an RST is routine: the
+    # server drops the connection without a traceback on stderr.
+    closed = threading.Event()
+
+    class Server(ThreadingHTTPServer):
+        def shutdown_request(self, request):
+            super().shutdown_request(request)
+            closed.set()   # runs after handle_error for this connection
+
+    httpd = Server(("127.0.0.1", 0), _Ping)
+    threading.Thread(target=httpd.serve_forever, daemon=True).start()
+    try:
+        sock = socket.create_connection(httpd.server_address, timeout=5)
+        sock.sendall(sent)
+        if sent.endswith(b"\r\n\r\n"):
+            response = http.client.HTTPResponse(sock)
+            response.begin()
+            assert json.loads(response.read()) == {"ok": True}
+            response.close()
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                        struct.pack("ii", 1, 0))
+        sock.close()
+        assert closed.wait(5)
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+    assert "Traceback" not in capsys.readouterr().err
